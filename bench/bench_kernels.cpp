@@ -18,6 +18,7 @@
 #include "graph/csr.hpp"
 #include "graph/snap_io.hpp"
 #include "graph/transforms.hpp"
+#include "harness/experiment.hpp"
 #include "systems/gap/gap_system.hpp"
 #include "systems/graph500/graph500_system.hpp"
 #include "systems/graphbig/graphbig_system.hpp"
@@ -39,6 +40,28 @@ EdgeList bench_graph(int scale) {
   return dedupe(symmetrize(gen::kronecker(p)));
 }
 
+/// A traversal root by the harness's rule (degree > 1, as in the
+/// Graph500), from a fixed seed, so every traversal bench does real work.
+vid_t bench_root(const EdgeList& el) {
+  return harness::select_roots(el, 1, /*seed=*/20170517).front();
+}
+
+/// Time `kernel` from `root` on a built system and report the edges it
+/// traversed (its WorkStats) as items, so a row that does no work shows
+/// 0 items/s. The phase log is cleared each time so it does not grow.
+template <typename Result>
+void run_traversal(benchmark::State& state, System& sys,
+                   Result (System::*kernel)(vid_t), vid_t root) {
+  std::int64_t edges = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize((sys.*kernel)(root));
+    edges += static_cast<std::int64_t>(
+        sys.log().entries().back().work.edges_processed);
+    sys.log().clear();
+  }
+  state.SetItemsProcessed(edges);
+}
+
 void BM_KroneckerGenerate(benchmark::State& state) {
   gen::KroneckerParams p;
   p.scale = static_cast<int>(state.range(0));
@@ -52,9 +75,9 @@ void BM_KroneckerGenerate(benchmark::State& state) {
 BENCHMARK(BM_KroneckerGenerate)->Arg(10)->Arg(12)->Arg(14);
 
 // Kernel 1 old vs new: the seed's sequential CSR build against the
-// parallel degree-count / prefix-sum / atomic-scatter build, at a given
-// thread count (second arg). The benchmark trajectory records both, so
-// the construction-phase speedup is visible in the JSON output.
+// parallel per-thread-offset stable scatter, at a given thread count
+// (second arg). The input is dedupe's (src, dst)-sorted list, as every
+// native reader delivers it, so the new build sorts no row.
 void BM_CsrBuildSerial(benchmark::State& state) {
   const auto el = bench_graph(static_cast<int>(state.range(0)));
   for (auto _ : state) {
@@ -206,25 +229,23 @@ BENCHMARK(BM_DcsrBuild)->Arg(10)->Arg(12);
 // Ablation: GAP's direction-optimizing BFS vs. the same code forced into
 // pure top-down (alpha = infinity disables the bottom-up switch).
 void BM_BfsDirectionOptimizing(benchmark::State& state) {
+  const auto el = bench_graph(static_cast<int>(state.range(0)));
   systems::GapSystem sys;
-  sys.set_edges(bench_graph(static_cast<int>(state.range(0))));
+  sys.set_edges(el);
   sys.build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.bfs(1));
-  }
+  run_traversal(state, sys, &System::bfs, bench_root(el));
 }
 BENCHMARK(BM_BfsDirectionOptimizing)->Arg(12)->Arg(14);
 
 void BM_BfsTopDownOnly(benchmark::State& state) {
   systems::GapSystem::Options opts;
   opts.alpha = 1e18;  // never switch bottom-up
+  const auto el = bench_graph(static_cast<int>(state.range(0)));
   systems::GapSystem sys(opts);
-  sys.set_edges(bench_graph(static_cast<int>(state.range(0))));
+  sys.set_edges(el);
   sys.build();
   ThreadScope threads(static_cast<int>(state.range(1)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.bfs(1));
-  }
+  run_traversal(state, sys, &System::bfs, bench_root(el));
 }
 // Thread sweep: pure top-down BFS is all frontier expansion + merge, so
 // this curve is the end-to-end view of the sliding-queue migration.
@@ -236,12 +257,11 @@ BENCHMARK(BM_BfsTopDownOnly)
     ->Args({14, 8});
 
 void BM_BfsGraph500(benchmark::State& state) {
+  const auto el = bench_graph(static_cast<int>(state.range(0)));
   systems::Graph500System sys;
-  sys.set_edges(bench_graph(static_cast<int>(state.range(0))));
+  sys.set_edges(el);
   sys.build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.bfs(1));
-  }
+  run_traversal(state, sys, &System::bfs, bench_root(el));
 }
 BENCHMARK(BM_BfsGraph500)->Arg(12)->Arg(14);
 
@@ -249,13 +269,12 @@ BENCHMARK(BM_BfsGraph500)->Arg(12)->Arg(14);
 void BM_SsspDelta(benchmark::State& state) {
   systems::GapSystem::Options opts;
   opts.delta = static_cast<weight_t>(state.range(1));
+  const auto el = with_random_weights(
+      bench_graph(static_cast<int>(state.range(0))), 5, 255);
   systems::GapSystem sys(opts);
-  sys.set_edges(with_random_weights(
-      bench_graph(static_cast<int>(state.range(0))), 5, 255));
+  sys.set_edges(el);
   sys.build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.sssp(1));
-  }
+  run_traversal(state, sys, &System::sssp, bench_root(el));
 }
 BENCHMARK(BM_SsspDelta)
     ->Args({12, 1})
@@ -434,11 +453,7 @@ void BM_GapBfsNoPrefetch(benchmark::State& state) {
   systems::GapSystem sys(opts);
   sys.set_edges(el);
   sys.build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.bfs(1));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(el.num_edges()));
+  run_traversal(state, sys, &System::bfs, bench_root(el));
 }
 BENCHMARK(BM_GapBfsNoPrefetch)->Args({14, 8});
 
@@ -448,11 +463,7 @@ void BM_GapBfsPrefetch(benchmark::State& state) {
   systems::GapSystem sys;
   sys.set_edges(el);
   sys.build();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sys.bfs(1));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(el.num_edges()));
+  run_traversal(state, sys, &System::bfs, bench_root(el));
 }
 BENCHMARK(BM_GapBfsPrefetch)->Args({14, 8});
 

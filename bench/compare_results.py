@@ -4,12 +4,19 @@
 Usage:
     compare_results.py BASELINE.json CURRENT.json [--threshold 0.20]
 
-Matches benchmarks by name and compares cpu_time (more stable than
-real_time on shared CI runners, and the committed baselines come from a
-single-core container where real_time at >1 thread measures
-oversubscription, not the kernel). Prints a table of ratios and emits a
-GitHub Actions `::warning` line per benchmark whose cpu_time grew by
+Matches benchmarks by name and compares real_time: the wall clock of the
+timed loop. cpu_time counts the main thread only, so for an OpenMP
+benchmark it misses the work of every other thread in the team. With
+--benchmark_repetitions, each benchmark is summarised by the median of
+its repetitions and their interquartile range (IQR); a single run is its
+own median with an IQR of 0. Prints a table of ratios and emits a GitHub
+Actions `::warning` line per benchmark whose median real_time grew by
 more than the threshold.
+
+A baseline row may carry a "host" object (nproc, cpu_model) naming the
+machine that recorded it; rows without one fall back to the file's
+context. The table prints both hosts, since a ratio across different
+machines says little.
 
 Always exits 0: the perf-smoke job is advisory, never blocking — CI
 hardware varies too much for a hard gate, but a >20% jump on the same
@@ -18,19 +25,54 @@ runner family is worth a human look. Standard library only.
 
 import argparse
 import json
+import statistics
 import sys
 
 
+def quartiles(values):
+    """(q1, median, q3) of a non-empty list."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def file_host(doc):
+    ctx = doc.get("context", {})
+    return {"nproc": ctx.get("num_cpus"), "cpu_model": None}
+
+
 def load_benchmarks(path):
+    """name -> {median, iqr, unit, host} over the file's repetitions."""
     with open(path) as f:
         doc = json.load(f)
-    out = {}
+    default_host = file_host(doc)
+    times, meta, aggregate_medians = {}, {}, {}
     for b in doc.get("benchmarks", []):
-        # Skip aggregate rows (mean/median/stddev) if repetitions were used.
+        name = b.get("run_name", b["name"])
         if b.get("run_type") == "aggregate":
+            # Files written with --benchmark_report_aggregates_only keep
+            # only the summary rows; their median row stands in.
+            if b.get("aggregate_name") == "median":
+                aggregate_medians[name] = b["real_time"]
+                meta.setdefault(name, b)
             continue
-        out[b["name"]] = b
+        times.setdefault(name, []).append(b["real_time"])
+        meta.setdefault(name, b)
+    for name, median in aggregate_medians.items():
+        times.setdefault(name, [median])
+    out = {}
+    for name, values in times.items():
+        q1, median, q3 = quartiles(sorted(values))
+        out[name] = {"median": median, "iqr": q3 - q1,
+                     "unit": meta[name].get("time_unit", "ns"),
+                     "host": meta[name].get("host", default_host)}
     return out
+
+
+def describe(host):
+    model = host.get("cpu_model") or "cpu model not recorded"
+    return f"{host.get('nproc')} cpus, {model}"
 
 
 def main():
@@ -38,8 +80,8 @@ def main():
     ap.add_argument("baseline")
     ap.add_argument("current")
     ap.add_argument("--threshold", type=float, default=0.20,
-                    help="warn when cpu_time grows by more than this "
-                         "fraction (default 0.20)")
+                    help="warn when median real_time grows by more than "
+                         "this fraction (default 0.20)")
     args = ap.parse_args()
 
     base = load_benchmarks(args.baseline)
@@ -52,20 +94,27 @@ def main():
         return 0
 
     regressions = []
-    print(f"{'benchmark':<44} {'base cpu':>12} {'curr cpu':>12} {'ratio':>7}")
+    hosts = set()
+    print(f"{'benchmark':<44} {'base real':>12} {'curr real':>12} "
+          f"{'curr IQR':>10} {'ratio':>7}")
     for name in shared:
         b, c = base[name], curr[name]
-        bt, ct = b.get("cpu_time", 0.0), c.get("cpu_time", 0.0)
-        if bt <= 0.0:
+        if b["median"] <= 0.0:
             continue
-        ratio = ct / bt
-        unit = c.get("time_unit", "ns")
+        hosts.add(describe(b["host"]))
+        ratio = c["median"] / b["median"]
+        unit = c["unit"]
         flag = ""
         if ratio > 1.0 + args.threshold:
             flag = "  << REGRESSION"
             regressions.append((name, ratio))
-        print(f"{name:<44} {bt:>10.0f}{unit} {ct:>10.0f}{unit} "
+        print(f"{name:<44} {b['median']:>10.0f}{unit} "
+              f"{c['median']:>10.0f}{unit} {c['iqr']:>8.0f}{unit} "
               f"{ratio:>6.2f}x{flag}")
+
+    print("\nbaseline host(s): " + "; ".join(sorted(hosts)))
+    current_hosts = {describe(c["host"]) for c in curr.values()}
+    print("current host(s): " + "; ".join(sorted(current_hosts)))
 
     missing = sorted(set(base) - set(curr))
     if missing:
@@ -75,7 +124,7 @@ def main():
 
     if regressions:
         for name, ratio in regressions:
-            print(f"::warning title=perf regression::{name} cpu_time "
+            print(f"::warning title=perf regression::{name} real_time "
                   f"{ratio:.2f}x of committed baseline "
                   f"(threshold {1.0 + args.threshold:.2f}x)")
         print(f"\n{len(regressions)} benchmark(s) regressed beyond "

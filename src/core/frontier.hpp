@@ -342,12 +342,4 @@ EPGS_NO_SANITIZE_THREAD void parallel_append(
   hb_join.acquire();
 }
 
-/// Scratch slots for per-thread partial results, one cache line apart in
-/// the slot array so concurrent writes to adjacent slots never bounce a
-/// line. Used as the staging area for parallel_append.
-template <typename T>
-struct alignas(64) PaddedSlot {
-  T value{};
-};
-
 }  // namespace epgs

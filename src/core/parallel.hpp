@@ -1,9 +1,9 @@
 // OpenMP helpers shared by all five system re-implementations.
 //
 // The paper varies the thread count from 1 to 72 per run; ThreadScope makes
-// that per-run override exception-safe. The atomic helpers implement the
-// compare-and-swap idioms (parent claiming in BFS, min-relaxation in SSSP)
-// used by the original codebases.
+// that per-run override exception-safe. The atomic helper implements the
+// compare-and-swap min-relaxation idiom (SSSP) used by the original
+// codebases.
 #pragma once
 
 #include <omp.h>
@@ -121,17 +121,9 @@ bool atomic_fetch_min(std::atomic<T>* p, T val) {
   return false;
 }
 
-/// Atomically replace `*p` with val iff `*p == expected`. Returns true on
-/// success. This is the BFS "claim parent" idiom.
-template <typename T>
-bool atomic_cas(std::atomic<T>* p, T expected, T val) {
-  return p->compare_exchange_strong(expected, val,
-                                    std::memory_order_relaxed);
-}
-
 /// Exclusive prefix sum: out[i] = sum(in[0..i)), returns total.
-/// Sequential reference implementation. Hot paths (CSR construction,
-/// frontier compaction) use parallel_exclusive_prefix_sum from
+/// Sequential reference implementation. Hot paths (frontier compaction,
+/// PowerGraph's local offsets) use parallel_exclusive_prefix_sum from
 /// core/frontier.hpp; this serial version remains the oracle for tests
 /// and the baseline for the prefix-sum microbenchmark.
 template <typename T, typename AIn, typename AOut>
@@ -208,19 +200,6 @@ EPGS_NO_SANITIZE_THREAD R deterministic_block_sum(std::size_t n, F f) {
   R total{};
   for (const R& p : partial) total += p;
   return total;
-}
-
-/// Cache-line padded counter for per-thread accumulation without false
-/// sharing.
-struct alignas(64) PaddedCounter {
-  std::uint64_t value = 0;
-};
-
-/// Sum a vector of padded per-thread counters.
-inline std::uint64_t sum_counters(const std::vector<PaddedCounter>& v) {
-  std::uint64_t s = 0;
-  for (const auto& c : v) s += c.value;
-  return s;
 }
 
 }  // namespace epgs

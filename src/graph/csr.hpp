@@ -26,9 +26,26 @@ class CSRGraph {
 
   CSRGraph() = default;
 
-  /// Build an out-neighborhood CSR from an edge list (parallel Kernel-1
-  /// semantics: parallel degree count, prefix sum, scatter, row sort).
-  /// If `transpose` is true, builds the in-neighborhood (CSC of the
+  /// The adjacency arrays of one build, before a CSRGraph owns them.
+  /// GraphMat's DCSR takes these and drops the empty rows.
+  struct Rows {
+    OffsetVector offsets;  // size n+1
+    TargetVector targets;  // size m
+    WeightVector weights;  // size m when weighted, else empty
+  };
+
+  /// The one parallel row builder behind from_edges and DCSR. Each
+  /// thread counts its contiguous edge slice, an exclusive scan over
+  /// (row, thread) gives every thread its own write offset in every row,
+  /// and the scatter then needs no atomics and keeps each row in edge
+  /// order. A row is sorted only if its targets are not strictly
+  /// increasing, so (src, dst)-sorted input costs one linear check.
+  /// The output equals from_edges_serial byte for byte at any thread
+  /// count. With `transpose`, row u lists the sources of u's in-edges.
+  static Rows build_rows(const EdgeList& el, bool transpose);
+
+  /// Build an out-neighborhood CSR from an edge list (Kernel 1). If
+  /// `transpose` is true, builds the in-neighborhood (CSC of the
   /// original): row u lists vertices with an edge into u.
   /// Adjacency of every row is sorted by target id.
   static CSRGraph from_edges(const EdgeList& el, bool transpose = false);

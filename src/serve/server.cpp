@@ -137,20 +137,36 @@ MetricsSnapshot Server::snapshot() const {
 void Server::accept_loop() {
   for (;;) {
     const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
+    const int accept_errno = errno;
+    std::vector<std::thread> exited;
     {
       std::lock_guard<std::mutex> lk(mutex_);
       if (stopping_) {
         close_quietly(fd);
         return;
       }
-      if (fd < 0) {
-        if (errno == EINTR || errno == ECONNABORTED) continue;
-        // Listener broken outside a requested stop: nothing to accept
-        // with; existing connections keep serving until stop().
-        return;
+      // Reap the connections that have finished, so a long-lived server
+      // holds one thread per open connection, not per connection served.
+      for (const std::thread::id id : finished_) {
+        const auto it = std::find_if(
+            connections_.begin(), connections_.end(),
+            [id](const std::thread& t) { return t.get_id() == id; });
+        if (it == connections_.end()) continue;
+        exited.push_back(std::move(*it));
+        connections_.erase(it);
       }
-      live_fds_.push_back(fd);
-      connections_.emplace_back([this, fd] { serve_connection(fd); });
+      finished_.clear();
+      if (fd >= 0) {
+        live_fds_.push_back(fd);
+        connections_.emplace_back([this, fd] { serve_connection(fd); });
+      }
+    }
+    // Outside the lock: a finished thread may still be releasing it.
+    for (auto& t : exited) t.join();
+    if (fd < 0 && accept_errno != EINTR && accept_errno != ECONNABORTED) {
+      // Listener broken outside a requested stop: nothing to accept
+      // with; existing connections keep serving until stop().
+      return;
     }
   }
 }
@@ -199,6 +215,7 @@ void Server::serve_connection(int fd) {
   std::lock_guard<std::mutex> lk(mutex_);
   live_fds_.erase(std::remove(live_fds_.begin(), live_fds_.end(), fd),
                   live_fds_.end());
+  finished_.push_back(std::this_thread::get_id());
 }
 
 Reply Server::dispatch(const Request& req) {

@@ -89,6 +89,8 @@ class Server {
   bool shutdown_requested_ = false;  ///< a client asked us to stop
   bool stopping_ = false;
   std::vector<std::thread> connections_;
+  /// Connection threads that have returned and await their join.
+  std::vector<std::thread::id> finished_;
   std::vector<int> live_fds_;
 };
 

@@ -1,78 +1,26 @@
 #include "systems/graphmat/dcsr.hpp"
 
 #include <algorithm>
-#include <cstdint>
-
-#include "core/error.hpp"
+#include <utility>
 
 namespace epgs::systems::graphmat_detail {
 
+// The shared CSR row build (graph/csr.cpp), compressed to the
+// non-empty rows. The column and value arrays move over as built.
 DCSR DCSR::from_edges(const EdgeList& el, bool transpose) {
+  CSRGraph::Rows rows = CSRGraph::build_rows(el, transpose);
   DCSR m;
   m.n_ = el.num_vertices;
   m.nnz_ = el.num_edges();
-
-  // Count per-row nonzeros on the dense index first.
-  std::vector<eid_t> counts(m.n_, 0);
-  for (const auto& e : el.edges) {
-    EPGS_CHECK(e.src < m.n_ && e.dst < m.n_, "edge endpoint out of range");
-    ++counts[transpose ? e.dst : e.src];
-  }
-
-  // Compress: keep only nonempty rows.
-  std::vector<std::size_t> dense_to_row(m.n_, npos);
+  m.row_offsets_.push_back(0);
   for (vid_t v = 0; v < m.n_; ++v) {
-    if (counts[v] != 0) {
-      dense_to_row[v] = m.row_ids_.size();
+    if (rows.offsets[v + 1] != rows.offsets[v]) {
       m.row_ids_.push_back(v);
+      m.row_offsets_.push_back(rows.offsets[v + 1]);
     }
   }
-  m.row_offsets_.resize(m.row_ids_.size() + 1, 0);
-  for (std::size_t r = 0; r < m.row_ids_.size(); ++r) {
-    m.row_offsets_[r + 1] = m.row_offsets_[r] + counts[m.row_ids_[r]];
-  }
-
-  m.cols_.resize(m.nnz_);
-  if (el.weighted) m.vals_.resize(m.nnz_);
-  std::vector<eid_t> cursor(m.row_offsets_.begin(), m.row_offsets_.end() - 1);
-  for (const auto& e : el.edges) {
-    const vid_t row = transpose ? e.dst : e.src;
-    const vid_t col = transpose ? e.src : e.dst;
-    const std::size_t r = dense_to_row[row];
-    const eid_t pos = cursor[r]++;
-    m.cols_[pos] = col;
-    if (el.weighted) m.vals_[pos] = e.w;
-  }
-
-  // Sort within each row (values permuted alongside). Rows are
-  // independent, so this parallelizes; the dynamic schedule rides out
-  // the power-law row-length skew and per-row output is identical to
-  // the old serial loop.
-#pragma omp parallel
-  {
-    std::vector<std::pair<vid_t, weight_t>> row;  // per-thread scratch
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t rr = 0;
-         rr < static_cast<std::int64_t>(m.row_ids_.size()); ++rr) {
-      const auto r = static_cast<std::size_t>(rr);
-      const eid_t lo = m.row_offsets_[r], hi = m.row_offsets_[r + 1];
-      if (el.weighted) {
-        row.clear();
-        row.reserve(hi - lo);
-        for (eid_t i = lo; i < hi; ++i) {
-          row.emplace_back(m.cols_[i], m.vals_[i]);
-        }
-        std::sort(row.begin(), row.end());
-        for (eid_t i = lo; i < hi; ++i) {
-          m.cols_[i] = row[i - lo].first;
-          m.vals_[i] = row[i - lo].second;
-        }
-      } else {
-        std::sort(m.cols_.begin() + static_cast<std::ptrdiff_t>(lo),
-                  m.cols_.begin() + static_cast<std::ptrdiff_t>(hi));
-      }
-    }
-  }
+  m.cols_ = std::move(rows.targets);
+  m.vals_ = std::move(rows.weights);
   return m;
 }
 

@@ -12,7 +12,7 @@
 #include <span>
 #include <vector>
 
-#include "graph/edge_list.hpp"
+#include "graph/csr.hpp"
 
 namespace epgs::systems::graphmat_detail {
 
@@ -54,8 +54,8 @@ class DCSR {
   eid_t nnz_ = 0;
   std::vector<vid_t> row_ids_;      // sorted dense ids of nonempty rows
   std::vector<eid_t> row_offsets_;  // size row_ids_.size() + 1
-  std::vector<vid_t> cols_;
-  std::vector<weight_t> vals_;      // empty when unweighted
+  CSRGraph::TargetVector cols_;
+  CSRGraph::WeightVector vals_;     // empty when unweighted
 };
 
 }  // namespace epgs::systems::graphmat_detail

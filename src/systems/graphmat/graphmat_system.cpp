@@ -20,7 +20,9 @@ void GraphMatSystem::do_build(const EdgeList& edges) {
   out_ = DCSR::from_edges(edges, /*transpose=*/false);
   in_ = DCSR::from_edges(edges, /*transpose=*/true);
   out_degree_.assign(edges.num_vertices, 0);
-  for (const auto& e : edges.edges) ++out_degree_[e.src];
+  for (std::size_t r = 0; r < out_.num_rows(); ++r) {
+    out_degree_[out_.row_id(r)] = out_.row_cols(r).size();
+  }
   work_.bytes_touched = out_.bytes() + in_.bytes();
 }
 

@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/parallel.hpp"
 #include "gen/kronecker.hpp"
+#include "graph/homogenizer.hpp"
 #include "graph/transforms.hpp"
 #include "test_util.hpp"
 
@@ -106,25 +113,58 @@ TEST(Csr, ParallelEdgesPreserved) {
   EXPECT_EQ(g.degree(0), 2u);
 }
 
-TEST(Csr, ParallelBuildMatchesSerialBuild) {
-  // The parallel Kernel-1 build must be bit-identical to the seed's
-  // sequential build: same offsets, same sorted targets, and weights
-  // permuted identically (row sort is stable on (target, weight) pairs).
+/// The equivalence inputs, one per row path: raw Kronecker order (rows
+/// need sorting), (src, dst)-sorted input read back from a .sg file
+/// (every row already sorted, so none is sorted again), and a shuffled
+/// input whose duplicate (src, dst) pairs carry different weights. Made
+/// on one thread: under TSan (the test carries the "frontier" label)
+/// only the builder's own regions should run a team.
+std::vector<EdgeList> build_equivalence_inputs() {
+  ThreadScope one_thread(1);
   gen::KroneckerParams p;
   p.scale = 9;
   p.edgefactor = 8;
   const auto base = gen::kronecker(p);
   const auto weighted = with_random_weights(base, 1, 15);
-  // Force a team: from_edges dispatches to the serial build when
-  // max_threads() == 1, which would make this test vacuous on 1-core CI.
-  ThreadScope threads(8);
-  for (const auto* el : {&base, &weighted}) {
-    for (const bool transpose : {false, true}) {
-      const auto par = CSRGraph::from_edges(*el, transpose);
-      const auto ser = CSRGraph::from_edges_serial(*el, transpose);
-      EXPECT_EQ(par.offsets(), ser.offsets()) << transpose;
-      EXPECT_EQ(par.targets(), ser.targets()) << transpose;
-      EXPECT_EQ(par.weights(), ser.weights()) << transpose;
+
+  const auto sg = std::filesystem::temp_directory_path() /
+                  ("epgs_csr_build_" + std::to_string(::getpid()) + ".sg");
+  write_gap_sg(sg, dedupe(weighted));
+  auto sorted = read_gap_sg(sg);
+  std::filesystem::remove(sg);
+
+  EdgeList dupes = weighted;
+  for (std::size_t i = 0; i < weighted.edges.size(); i += 3) {
+    Edge e = weighted.edges[i];
+    e.w += 100.0f;
+    dupes.edges.push_back(e);
+  }
+  std::mt19937 rng(7);
+  std::shuffle(dupes.edges.begin(), dupes.edges.end(), rng);
+  return {base, weighted, std::move(sorted), std::move(dupes)};
+}
+
+TEST(Csr, ParallelBuildMatchesSerialBuild) {
+  // The one parallel builder must equal the seed's sequential build byte
+  // for byte at every thread count: same offsets, same sorted targets,
+  // weights permuted identically.
+  const auto inputs = build_equivalence_inputs();
+  const auto& sorted = inputs[2].edges;
+  ASSERT_TRUE(std::is_sorted(sorted.begin(), sorted.end(),
+                             [](const Edge& a, const Edge& b) {
+                               return a.src != b.src ? a.src < b.src
+                                                     : a.dst < b.dst;
+                             }));
+  for (const int threads : {1, 2, 3, 8}) {
+    ThreadScope scope(threads);
+    for (const EdgeList& el : inputs) {
+      for (const bool transpose : {false, true}) {
+        const auto par = CSRGraph::from_edges(el, transpose);
+        const auto ser = CSRGraph::from_edges_serial(el, transpose);
+        EXPECT_EQ(par.offsets(), ser.offsets()) << threads << transpose;
+        EXPECT_EQ(par.targets(), ser.targets()) << threads << transpose;
+        EXPECT_EQ(par.weights(), ser.weights()) << threads << transpose;
+      }
     }
   }
 }

@@ -5,11 +5,14 @@
 // provenance columns — the same currency the chaos harness uses).
 #include <gtest/gtest.h>
 
+#include <pthread.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -294,6 +297,54 @@ TEST(ServeAdmission, ExpiredDeadlineInQueueGetsTypedReplyWithoutExecution) {
   // The hopeless batch was answered from the queue: only the wedge's
   // graph (and nothing for the Ligra spec) was ever loaded.
   EXPECT_EQ(stat_value(stats.body, "cold_loads"), 1u);
+}
+
+/// Threads this process has right now.
+std::size_t live_threads() {
+  return static_cast<std::size_t>(
+      std::distance(fs::directory_iterator("/proc/self/task"),
+                    fs::directory_iterator{}));
+}
+
+/// This process's virtual size in KiB. An exited but unjoined thread
+/// keeps its stack mapped, so this is where a missing join shows.
+std::uint64_t vm_size_kb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmSize:", 0) == 0) return std::stoull(line.substr(7));
+  }
+  return 0;
+}
+
+TEST(ServeConnections, ExitedConnectionThreadsAreJoined) {
+  TempDir tmp;
+  serve::ServerOptions opts;
+  opts.socket_path = (tmp.path() / "epg.sock").string();
+  serve::Server server(opts);
+  ASSERT_EQ(serve::query_server(opts.socket_path, "ping").kind,
+            serve::ReplyKind::kOk);
+  const std::size_t threads_before = live_threads();
+  const std::uint64_t vm_before = vm_size_kb();
+
+  constexpr int kConnections = 200;
+  for (int i = 0; i < kConnections; ++i) {
+    ASSERT_EQ(serve::query_server(opts.socket_path, "ping").kind,
+              serve::ReplyKind::kOk);
+  }
+
+  // The last few connection threads may still be on their way out.
+  EXPECT_LE(live_threads(), threads_before + 2);
+  // 200 unjoined threads would keep 200 stacks mapped; joined ones leave
+  // at most glibc's small stack cache behind.
+  pthread_attr_t attr;
+  std::size_t stack_bytes = 0;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_getstacksize(&attr, &stack_bytes), 0);
+  pthread_attr_destroy(&attr);
+  const std::uint64_t vm_after = vm_size_kb();
+  EXPECT_LT(vm_after, vm_before + (kConnections / 2) * (stack_bytes / 1024))
+      << "VmSize grew from " << vm_before << " to " << vm_after << " kB";
 }
 
 TEST(ServeResidency, SecondGraphEvictsLruUnderTightBudget) {

@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "core/parallel.hpp"
+#include "gen/kronecker.hpp"
 #include "graph/csr.hpp"
+#include "graph/transforms.hpp"
 #include "systems/common/reference.hpp"
 #include "systems/graphmat/dcsr.hpp"
 #include "test_util.hpp"
@@ -73,6 +78,51 @@ TEST(Dcsr, EmptyMatrix) {
   EXPECT_EQ(m.num_rows(), 0u);
   EXPECT_EQ(m.num_nonzeros(), 0u);
   EXPECT_GT(m.bytes(), 0u);  // offsets array exists
+}
+
+TEST(Dcsr, RowsMatchSerialCsrOracle) {
+  // DCSR is the shared row build compressed to its non-empty rows: in
+  // both orientations and at every thread count, each stored row must
+  // equal the serial CSR oracle's row, and each dropped row must be
+  // empty there.
+  // The input is made on one thread: under TSan (this test carries the
+  // "frontier" label) only the builder's own regions should run a team.
+  const EdgeList el = [] {
+    ThreadScope one_thread(1);
+    gen::KroneckerParams p;
+    p.scale = 9;
+    p.edgefactor = 8;
+    return with_random_weights(gen::kronecker(p), 3, 15);
+  }();
+  for (const int threads : {1, 2, 3, 8}) {
+    ThreadScope scope(threads);
+    for (const bool transpose : {false, true}) {
+      const auto m = DCSR::from_edges(el, transpose);
+      const auto ser = CSRGraph::from_edges_serial(el, transpose);
+      EXPECT_EQ(m.num_nonzeros(), ser.num_edges());
+      std::size_t r = 0;
+      for (vid_t v = 0; v < el.num_vertices; ++v) {
+        if (ser.degree(v) == 0) {
+          EXPECT_EQ(m.find_row(v), DCSR::npos) << v;
+          continue;
+        }
+        ASSERT_LT(r, m.num_rows());
+        ASSERT_EQ(m.row_id(r), v) << threads << transpose;
+        const auto cols = m.row_cols(r);
+        const auto vals = m.row_vals(r);
+        const auto nbrs = ser.neighbors(v);
+        const auto ws = ser.edge_weights(v);
+        EXPECT_EQ(std::vector<vid_t>(cols.begin(), cols.end()),
+                  std::vector<vid_t>(nbrs.begin(), nbrs.end()))
+            << threads << transpose << v;
+        EXPECT_EQ(std::vector<weight_t>(vals.begin(), vals.end()),
+                  std::vector<weight_t>(ws.begin(), ws.end()))
+            << threads << transpose << v;
+        ++r;
+      }
+      EXPECT_EQ(r, m.num_rows()) << threads << transpose;
+    }
+  }
 }
 
 TEST(GraphMatSystem, BfsDepthsViaSpmv) {
