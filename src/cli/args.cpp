@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::cli {
 
@@ -52,47 +53,39 @@ std::string Args::get(const std::string& key,
   return it == options_.end() ? fallback : it->second;
 }
 
+namespace {
+
+/// The value of an option that is present: strict, or a user-facing error.
+template <typename T>
+T option_number(const std::string& key, const std::string& value,
+                std::string_view expects) {
+  if (const std::optional<T> v = text::parse_number<T>(value)) return *v;
+  throw EpgsError("--" + key + " expects " + std::string(expects) +
+                  ", got '" + value + "'");
+}
+
+}  // namespace
+
 int Args::get_int(const std::string& key, int fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const int v = std::stoi(it->second, &pos);
-    EPGS_CHECK(pos == it->second.size(), "trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw EpgsError("--" + key + " expects an integer, got '" +
-                    it->second + "'");
-  }
+  return it == options_.end()
+             ? fallback
+             : option_number<int>(key, it->second, "an integer");
 }
 
 double Args::get_double(const std::string& key, double fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(it->second, &pos);
-    EPGS_CHECK(pos == it->second.size(), "trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw EpgsError("--" + key + " expects a number, got '" + it->second +
-                    "'");
-  }
+  return it == options_.end()
+             ? fallback
+             : option_number<double>(key, it->second, "a number");
 }
 
 std::uint64_t Args::get_u64(const std::string& key,
                             std::uint64_t fallback) const {
   const auto it = options_.find(key);
-  if (it == options_.end()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(it->second, &pos);
-    EPGS_CHECK(pos == it->second.size(), "trailing junk");
-    return v;
-  } catch (const std::exception&) {
-    throw EpgsError("--" + key + " expects an unsigned integer, got '" +
-                    it->second + "'");
-  }
+  return it == options_.end() ? fallback
+                              : option_number<std::uint64_t>(
+                                    key, it->second, "an unsigned integer");
 }
 
 std::vector<std::string> Args::get_list(const std::string& key) const {

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -17,6 +18,8 @@
 #else
 #define EPGS_HAVE_BACKTRACE 0
 #endif
+
+#include "core/text_scan.hpp"
 
 namespace epgs::crash {
 namespace {
@@ -265,6 +268,12 @@ std::optional<CrashReport> read_report(const std::filesystem::path& path) {
   if (!std::getline(in, line) || line != kReportMagic) return std::nullopt;
 
   CrashReport r;
+  // A numeric field that does not parse means this is not our report.
+  const auto read_num = [](std::string_view tok, auto& out) {
+    const auto v = text::parse_number<std::decay_t<decltype(out)>>(tok);
+    if (v) out = *v;
+    return v.has_value();
+  };
   bool in_backtrace = false;
   while (std::getline(in, line)) {
     if (in_backtrace) {
@@ -276,20 +285,23 @@ std::optional<CrashReport> read_report(const std::filesystem::path& path) {
     const std::string val =
         sp == std::string::npos ? std::string() : line.substr(sp + 1);
     if (key == "signal") {
+      // signal <number> [<name>]
       const std::size_t sp2 = val.find(' ');
-      r.signal = std::atoi(val.c_str());
+      if (!read_num(std::string_view(val).substr(0, sp2), r.signal)) {
+        return std::nullopt;
+      }
       r.signal_name = sp2 == std::string::npos ? std::string(signal_name(r.signal))
                                                : val.substr(sp2 + 1);
     } else if (key == "code") {
-      r.si_code = std::atoi(val.c_str());
+      if (!read_num(val, r.si_code)) return std::nullopt;
     } else if (key == "addr") {
       r.fault_addr = val;
     } else if (key == "errno") {
-      r.saved_errno = std::atoi(val.c_str());
+      if (!read_num(val, r.saved_errno)) return std::nullopt;
     } else if (key == "phase") {
       r.phase = val;
     } else if (key == "iteration") {
-      r.iteration = std::atoll(val.c_str());
+      if (!read_num(val, r.iteration)) return std::nullopt;
     } else if (key == "fault") {
       r.faults.push_back(val);
     } else if (key == "backtrace:") {

@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cerrno>
-#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <streambuf>
@@ -15,6 +14,7 @@
 
 #include "core/crash_report.hpp"
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::fsx {
 namespace {
@@ -94,21 +94,6 @@ constexpr ErrnoName kErrnoNames[] = {
     {"EACCES", EACCES}, {"EROFS", EROFS},
 };
 
-/// Strict decimal parse for spec fields: the whole of `text` must be
-/// digits (std::atoi's silent acceptance of "12abc" let malformed specs
-/// arm the wrong plan). Throws EpgsError naming the offending field.
-int parse_spec_int(std::string_view field, std::string_view text) {
-  int value = 0;
-  const auto [end, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  if (ec != std::errc{} || end != text.data() + text.size() ||
-      text.empty()) {
-    throw EpgsError("fs fault spec: bad " + std::string(field) +
-                    " value '" + std::string(text) + "' (want an integer)");
-  }
-  return value;
-}
-
 /// Short human description of the armed plan for crash forensics.
 std::string describe(const Plan& plan) {
   std::string d = "fs:";
@@ -171,15 +156,9 @@ int fire_count() { return g_fires.load(); }
 
 void arm_from_spec(std::string_view spec) {
   Plan plan;
-  // Split on ':', keeping empty fields so "write::ENOSPC" and a trailing
-  // colon are rejected loudly instead of silently collapsing.
-  std::vector<std::string_view> parts;
-  for (;;) {
-    const std::size_t colon = spec.find(':');
-    parts.push_back(spec.substr(0, colon));
-    if (colon == std::string_view::npos) break;
-    spec = spec.substr(colon + 1);
-  }
+  // Empty fields are kept so "write::ENOSPC" and a trailing colon are
+  // rejected loudly instead of silently collapsing.
+  const std::vector<std::string_view> parts = text::split(spec, ':');
   EPGS_CHECK(parts.size() >= 2,
              "fs fault spec needs at least <op>:<errno>");
   for (const std::string_view part : parts) {
@@ -207,10 +186,12 @@ void arm_from_spec(std::string_view spec) {
     if (part == "short") {
       plan.short_write = true;
     } else if (part.rfind("at=", 0) == 0) {
-      plan.at_call = parse_spec_int("at=", part.substr(3));
+      plan.at_call =
+          text::require_number<int>(part.substr(3), "fs fault spec", "at=");
       EPGS_CHECK(plan.at_call >= 1, "fs fault spec: at= must be >= 1");
     } else if (part.rfind("count=", 0) == 0) {
-      plan.max_fires = parse_spec_int("count=", part.substr(6));
+      plan.max_fires = text::require_number<int>(part.substr(6),
+                                                 "fs fault spec", "count=");
       EPGS_CHECK(plan.max_fires >= 1, "fs fault spec: count= must be >= 1");
     } else if (part.rfind("path=", 0) == 0) {
       plan.path_substr = std::string(part.substr(5));

@@ -1,9 +1,10 @@
 #include "core/phase_log.hpp"
 
-#include <charconv>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "core/text_scan.hpp"
 
 namespace epgs {
 namespace {
@@ -25,22 +26,19 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-std::uint64_t parse_u64(std::string_view s, std::string_view what) {
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("PhaseLog: bad integer for " + std::string(what) +
-                             ": '" + std::string(s) + "'");
-  }
-  return v;
-}
+constexpr std::string_view kCtx = "PhaseLog";
 
-double parse_f64(std::string_view s, std::string_view what) {
-  try {
-    return std::stod(std::string(s));
-  } catch (const std::exception&) {
-    throw std::runtime_error("PhaseLog: bad number for " + std::string(what) +
-                             ": '" + std::string(s) + "'");
+/// Call fn(key, value) for each whitespace-separated key=value token.
+template <typename Fn>
+void for_each_kv(std::string_view rest, Fn&& fn) {
+  for (std::string_view tok = text::next_token(rest); !tok.empty();
+       tok = text::next_token(rest)) {
+    const std::size_t eq = tok.find('=');
+    if (eq == std::string_view::npos) {
+      throw std::runtime_error("PhaseLog: bad key=value token: '" +
+                               std::string(tok) + "'");
+    }
+    fn(tok.substr(0, eq), tok.substr(eq + 1));
   }
 }
 
@@ -128,13 +126,9 @@ std::string PhaseLog::to_log_text() const {
 
 PhaseLog PhaseLog::parse_log_text(std::string_view text) {
   PhaseLog log;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    const std::size_t eol = text.find('\n', pos);
-    std::string_view line = text.substr(
-        pos, eol == std::string_view::npos ? std::string_view::npos
-                                           : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() : eol + 1;
+  text::LineScanner lines(text);
+  std::string_view line;
+  while (lines.next(line)) {
     line = trim(line);
     if (line.empty()) continue;
 
@@ -154,36 +148,23 @@ PhaseLog PhaseLog::parse_log_text(std::string_view text) {
             "PhaseLog: timeline line with no preceding phase");
       }
       line.remove_prefix(1);
-      line = trim(line);
       IterRecord rec;
-      while (!line.empty()) {
-        const std::size_t end = line.find(' ');
-        std::string_view tok = line.substr(
-            0, end == std::string_view::npos ? line.size() : end);
-        line = end == std::string_view::npos ? std::string_view{}
-                                             : trim(line.substr(end + 1));
-        const std::size_t eq = tok.find('=');
-        if (eq == std::string_view::npos) {
-          throw std::runtime_error("PhaseLog: bad timeline token: '" +
-                                   std::string(tok) + "'");
-        }
-        const std::string_view key = tok.substr(0, eq);
-        const std::string_view val = tok.substr(eq + 1);
+      for_each_kv(line, [&rec](std::string_view key, std::string_view val) {
         if (key == "iter") {
-          rec.iter = parse_u64(val, key);
+          rec.iter = text::require_number<std::uint64_t>(val, kCtx, key);
         } else if (key == "sec") {
-          rec.seconds = parse_f64(val, key);
+          rec.seconds = text::require_number<double>(val, kCtx, key);
         } else if (key == "front") {
-          rec.frontier = parse_u64(val, key);
+          rec.frontier = text::require_number<std::uint64_t>(val, kCtx, key);
         } else if (key == "edges") {
-          rec.edges = parse_u64(val, key);
+          rec.edges = text::require_number<std::uint64_t>(val, kCtx, key);
         } else if (key == "resid") {
-          rec.residual = parse_f64(val, key);
+          rec.residual = text::require_number<double>(val, kCtx, key);
         } else {
           throw std::runtime_error("PhaseLog: unknown timeline key: '" +
                                    std::string(key) + "'");
         }
-      }
+      });
       log.entries_.back().timeline.push_back(rec);
       continue;
     }
@@ -207,36 +188,28 @@ PhaseLog PhaseLog::parse_log_text(std::string_view text) {
     if (sp == std::string_view::npos) {
       throw std::runtime_error("PhaseLog: phase line missing duration");
     }
-    e.seconds = std::stod(std::string(rest.substr(0, sp)));
+    e.seconds = text::require_number<double>(rest.substr(0, sp), kCtx,
+                                             "seconds");
     rest = trim(rest.substr(sp));
     if (rest.substr(0, 3) != "sec") {
       throw std::runtime_error("PhaseLog: expected 'sec' unit");
     }
     rest = trim(rest.substr(3));
 
-    while (!rest.empty()) {
-      const std::size_t end = rest.find(' ');
-      std::string_view tok =
-          rest.substr(0, end == std::string_view::npos ? rest.size() : end);
-      rest = end == std::string_view::npos ? std::string_view{}
-                                           : trim(rest.substr(end + 1));
-      const std::size_t eq = tok.find('=');
-      if (eq == std::string_view::npos) {
-        throw std::runtime_error("PhaseLog: bad key=value token: '" +
-                                 std::string(tok) + "'");
-      }
-      const std::string_view key = tok.substr(0, eq);
-      const std::string_view val = tok.substr(eq + 1);
+    for_each_kv(rest, [&e](std::string_view key, std::string_view val) {
       if (key == "edges") {
-        e.work.edges_processed = parse_u64(val, key);
+        e.work.edges_processed =
+            text::require_number<std::uint64_t>(val, kCtx, key);
       } else if (key == "vupdates") {
-        e.work.vertex_updates = parse_u64(val, key);
+        e.work.vertex_updates =
+            text::require_number<std::uint64_t>(val, kCtx, key);
       } else if (key == "bytes") {
-        e.work.bytes_touched = parse_u64(val, key);
+        e.work.bytes_touched =
+            text::require_number<std::uint64_t>(val, kCtx, key);
       } else {
         e.extra[std::string(key)] = std::string(val);
       }
-    }
+    });
     log.entries_.push_back(std::move(e));
   }
   return log;

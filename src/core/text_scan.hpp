@@ -1,18 +1,20 @@
-// Shared zero-allocation text scanning for the graph file readers.
+// Shared zero-allocation text scanning for every text reader.
 //
-// Every text format in the pipeline (SNAP, MatrixMarket-like mtx,
-// GraphBIG csv, PowerGraph tsv, Ligra adj) is line-oriented with
-// whitespace- or single-character-delimited numeric fields. This header
-// gives them one tokenizer built on std::from_chars, replacing the
-// per-line istringstream/sscanf readers: no locale, no allocation per
-// token, and malformed numerics raise a typed ParseError instead of
-// silently defaulting the field.
+// The graph formats (SNAP, MatrixMarket-like mtx, GraphBIG csv,
+// PowerGraph tsv, Ligra adj) and the harness's own record formats
+// (journal, chaos spec, crash report, EPGQ requests, phase log, child
+// payload, EPGS_FS_FAULT, CLI options, records CSV) all turn tokens into
+// numbers through parse_number below: no locale, no allocation per
+// token, and a malformed token is an error, never a silently defaulted
+// or truncated field.
 #pragma once
 
 #include <charconv>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/error.hpp"
 #include "core/types.hpp"
@@ -77,39 +79,66 @@ class LineScanner {
   return field;
 }
 
-[[noreturn]] inline void fail(std::string_view context, std::string_view what,
-                              std::string_view tok, std::size_t line_no) {
-  throw ParseError(std::string(context) + ": bad " + std::string(what) +
-                   " '" + std::string(tok) + "' on line " +
-                   std::to_string(line_no));
+/// Split on `delim`, keeping empty fields: "a||b" is three fields and ""
+/// is one, so a doubled or trailing delimiter shows up as an empty field
+/// instead of silently collapsing.
+[[nodiscard]] inline std::vector<std::string_view> split(std::string_view s,
+                                                         char delim) {
+  std::vector<std::string_view> out;
+  for (std::size_t i = s.find(delim); i != std::string_view::npos;
+       i = s.find(delim)) {
+    out.push_back(s.substr(0, i));
+    s.remove_prefix(i + 1);
+  }
+  out.push_back(s);
+  return out;
 }
 
-/// Strict unsigned parse: the whole token must be a decimal number.
+/// The one strict number parse: the whole token must be a T. Rejected:
+/// an empty token, leading whitespace, a leading '+', trailing junk, '-'
+/// on an unsigned type, and overflow. Floating point accepts the %.9g
+/// and precision-17 stream forms the writers emit, "nan" and "inf"
+/// included. No locale, no allocation.
+template <typename T>
+[[nodiscard]] std::optional<T> parse_number(std::string_view tok) {
+  if (tok.empty()) return std::nullopt;
+  T v{};
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, v);
+  if (ec != std::errc{} || ptr != end) return std::nullopt;
+  return v;
+}
+
+/// "<context>: bad <what> '<tok>'", plus " on line N" when line_no > 0.
+[[noreturn]] inline void fail(std::string_view context, std::string_view what,
+                              std::string_view tok, std::size_t line_no = 0) {
+  std::string msg = std::string(context) + ": bad " + std::string(what) +
+                    " '" + std::string(tok) + "'";
+  if (line_no > 0) msg += " on line " + std::to_string(line_no);
+  throw ParseError(msg);
+}
+
+/// parse_number, or fail() naming the field.
+template <typename T>
+[[nodiscard]] T require_number(std::string_view tok, std::string_view context,
+                               std::string_view what,
+                               std::size_t line_no = 0) {
+  if (const std::optional<T> v = parse_number<T>(tok)) return *v;
+  fail(context, what, tok, line_no);
+}
+
 [[nodiscard]] inline std::uint64_t parse_u64(std::string_view tok,
                                              std::string_view context,
                                              std::string_view what,
                                              std::size_t line_no) {
-  std::uint64_t v = 0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    fail(context, what, tok, line_no);
-  }
-  return v;
+  return require_number<std::uint64_t>(tok, context, what, line_no);
 }
 
-/// Strict floating-point parse (accepts the %g forms our writers emit).
 [[nodiscard]] inline double parse_double(std::string_view tok,
                                          std::string_view context,
                                          std::string_view what,
                                          std::size_t line_no) {
-  double v = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(tok.data(), tok.data() + tok.size(), v);
-  if (tok.empty() || ec != std::errc{} || ptr != tok.data() + tok.size()) {
-    fail(context, what, tok, line_no);
-  }
-  return v;
+  return require_number<double>(tok, context, what, line_no);
 }
 
 /// Vertex-id parse with the 32-bit range check shared by every reader.

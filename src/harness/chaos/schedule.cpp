@@ -1,11 +1,11 @@
 #include "harness/chaos/schedule.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <sstream>
 
 #include "core/error.hpp"
 #include "core/rng.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::harness::chaos {
 namespace {
@@ -31,34 +31,6 @@ constexpr KindName kKindNames[] = {
 /// The plan families the injector can hold simultaneously; a round arms
 /// at most one event per family.
 enum class Family { kPhase, kKillCkpt, kKillPublish, kFs };
-
-/// Strict whole-string integer parse; a chaos spec is user input, so
-/// "3x" must be a typed error, not atoi's silent 3.
-template <typename T>
-T parse_num(std::string_view field, std::string_view text) {
-  T value{};
-  const auto [ptr, ec] =
-      std::from_chars(text.data(), text.data() + text.size(), value);
-  EPGS_CHECK(ec == std::errc() && ptr == text.data() + text.size(),
-             "chaos spec: bad " + std::string(field) + " value '" +
-                 std::string(text) + "'");
-  return value;
-}
-
-/// Split on '|' keeping empty fields (system/phase/path may be empty).
-std::vector<std::string> split_fields(std::string_view line) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t bar = line.find('|', start);
-    if (bar == std::string_view::npos) {
-      out.emplace_back(line.substr(start));
-      return out;
-    }
-    out.emplace_back(line.substr(start, bar - start));
-    start = bar + 1;
-  }
-}
 
 }  // namespace
 
@@ -197,46 +169,51 @@ std::string to_spec(const ChaosSchedule& s) {
 }
 
 ChaosSchedule parse_spec(const std::string& text) {
-  std::istringstream is(text);
-  std::string line;
-  EPGS_CHECK(std::getline(is, line) && line == "epgs-chaos-v1",
+  text::LineScanner lines(text);
+  std::string_view line;
+  EPGS_CHECK(lines.next(line) && line == "epgs-chaos-v1",
              "chaos spec: missing epgs-chaos-v1 header");
   ChaosSchedule s;
   bool saw_seed = false;
   bool saw_rounds = false;
-  while (std::getline(is, line)) {
+  constexpr std::string_view kCtx = "chaos spec";
+  while (lines.next(line)) {
     if (line.empty()) continue;
     if (line.rfind("seed ", 0) == 0) {
-      s.seed = parse_num<std::uint64_t>("seed", line.substr(5));
+      s.seed = text::require_number<std::uint64_t>(line.substr(5), kCtx,
+                                                   "seed");
       saw_seed = true;
     } else if (line.rfind("rounds ", 0) == 0) {
-      s.rounds = parse_num<int>("rounds", line.substr(7));
+      s.rounds = text::require_number<int>(line.substr(7), kCtx, "rounds");
       saw_rounds = true;
     } else if (line.rfind("event ", 0) == 0) {
-      const auto f = split_fields(line.substr(6));
+      // system/phase/path may be empty, so empty fields are kept.
+      const auto f = text::split(line.substr(6), '|');
       EPGS_CHECK(f.size() == 10, "chaos spec: event line has " +
                                      std::to_string(f.size()) +
                                      " fields, expected 10");
       ChaosEvent e;
-      e.round = parse_num<int>("round", f[0]);
+      e.round = text::require_number<int>(f[0], kCtx, "round");
       e.kind = event_kind_from_name(f[1]);
       e.system = f[2];
       e.phase = f[3];
-      e.at = parse_num<int>("at", f[4]);
-      e.fires = parse_num<int>("fires", f[5]);
+      e.at = text::require_number<int>(f[4], kCtx, "at");
+      e.fires = text::require_number<int>(f[5], kCtx, "fires");
       e.fs_op = fsx::op_from_name(f[6]);
-      e.fs_errno = parse_num<int>("errno", f[7]);
+      e.fs_errno = text::require_number<int>(f[7], kCtx, "errno");
       e.path_substr = f[8];
-      const int once = parse_num<int>("once", f[9]);
+      const int once = text::require_number<int>(f[9], kCtx, "once");
       EPGS_CHECK(once == 0 || once == 1,
-                 "chaos spec: once must be 0 or 1, got '" + f[9] + "'");
+                 "chaos spec: once must be 0 or 1, got '" +
+                     std::string(f[9]) + "'");
       e.once = once == 1;
       EPGS_CHECK(e.round >= 0, "chaos spec: negative round");
       EPGS_CHECK(e.at >= 1, "chaos spec: at must be >= 1");
       EPGS_CHECK(e.fires >= 1, "chaos spec: fires must be >= 1");
       s.events.push_back(std::move(e));
     } else {
-      throw EpgsError("chaos spec: unrecognized line '" + line + "'");
+      throw EpgsError("chaos spec: unrecognized line '" + std::string(line) +
+                      "'");
     }
   }
   EPGS_CHECK(saw_seed && saw_rounds, "chaos spec: missing seed/rounds line");

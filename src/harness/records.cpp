@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::harness {
 namespace {
@@ -28,28 +29,10 @@ const CsvRow& legacy_csv_header() {
   return header;
 }
 
-double parse_double(const std::string& s, std::string_view col) {
-  try {
-    return s.empty() ? 0.0 : std::stod(s);
-  } catch (const std::exception&) {
-    throw EpgsError("CSV: bad " + std::string(col) + " value: '" + s + "'");
-  }
-}
-
-std::uint64_t parse_u64_field(const std::string& s, std::string_view col) {
-  try {
-    return s.empty() ? 0 : std::stoull(s);
-  } catch (const std::exception&) {
-    throw EpgsError("CSV: bad " + std::string(col) + " value: '" + s + "'");
-  }
-}
-
-int parse_int_field(const std::string& s, std::string_view col) {
-  try {
-    return std::stoi(s);
-  } catch (const std::exception&) {
-    throw EpgsError("CSV: bad " + std::string(col) + " value: '" + s + "'");
-  }
+/// An empty seconds or counter field reads as 0; anything else is strict.
+template <typename T>
+T number_or_zero(const std::string& s, std::string_view col) {
+  return s.empty() ? T{} : text::require_number<T>(s, "CSV", col);
 }
 
 }  // namespace
@@ -74,7 +57,10 @@ std::vector<double> ExperimentResult::iterations_of(
     if (r.outcome != Outcome::kSuccess) continue;
     if (r.system != system || r.algorithm != algorithm) continue;
     const auto it = r.extra.find("iterations");
-    if (it != r.extra.end()) out.push_back(std::stod(it->second));
+    if (it != r.extra.end()) {
+      out.push_back(text::require_number<double>(it->second, "record",
+                                                 "iterations"));
+    }
   }
   return out;
 }
@@ -112,13 +98,13 @@ RunRecord record_from_csv_row(const CsvRow& row) {
   r.dataset = row[0];
   r.system = row[1];
   r.algorithm = row[2];
-  r.threads = parse_int_field(row[3], "threads");
-  r.trial = parse_int_field(row[4], "trial");
+  r.threads = text::require_number<int>(row[3], "CSV", "threads");
+  r.trial = text::require_number<int>(row[4], "CSV", "trial");
   r.phase = row[5];
-  r.seconds = parse_double(row[6], "seconds");
-  r.work.edges_processed = parse_u64_field(row[7], "edges");
-  r.work.vertex_updates = parse_u64_field(row[8], "vupdates");
-  r.work.bytes_touched = parse_u64_field(row[9], "bytes");
+  r.seconds = number_or_zero<double>(row[6], "seconds");
+  r.work.edges_processed = number_or_zero<std::uint64_t>(row[7], "edges");
+  r.work.vertex_updates = number_or_zero<std::uint64_t>(row[8], "vupdates");
+  r.work.bytes_touched = number_or_zero<std::uint64_t>(row[9], "bytes");
   if (!row[10].empty()) r.extra["iterations"] = row[10];
   r.outcome = outcome_from_name(row[11]);
   if (row.size() == kCsvColumns) {

@@ -24,6 +24,7 @@
 #include "core/csv.hpp"
 #include "core/parallel.hpp"
 #include "core/proc_stats.hpp"
+#include "core/text_scan.hpp"
 #include "core/timer.hpp"
 
 namespace epgs::harness {
@@ -240,6 +241,7 @@ constexpr std::string_view kPayloadResumed = "resumed ";
 // Optional (absent in pre-telemetry payloads and for empty timelines).
 constexpr std::string_view kPayloadTimeline = "tl ";
 constexpr std::string_view kPayloadRecords = "records";
+constexpr std::string_view kPayloadCtx = "isolated child payload";
 
 void write_all(int fd, std::string_view data) {
   while (!data.empty()) {
@@ -320,9 +322,11 @@ TrialReport parse_child_payload(const std::string& payload) {
     pos = payload.find('\n', line_start);
     EPGS_CHECK(pos != std::string::npos,
                "isolated child payload: torn resumed line");
-    r.resumed_from_iter =
-        std::stoll(payload.substr(line_start + kPayloadResumed.size(),
-                                  pos - line_start - kPayloadResumed.size()));
+    r.resumed_from_iter = text::require_number<std::int64_t>(
+        std::string_view(payload).substr(
+            line_start + kPayloadResumed.size(),
+            pos - line_start - kPayloadResumed.size()),
+        kPayloadCtx, "resumed iteration");
     line_start = pos + 1;
   }
 
@@ -333,22 +337,27 @@ TrialReport parse_child_payload(const std::string& payload) {
     pos = payload.find('\n', line_start);
     EPGS_CHECK(pos != std::string::npos,
                "isolated child payload: torn timeline line");
-    std::istringstream is(payload.substr(
+    std::string_view fields = std::string_view(payload).substr(
         line_start + kPayloadTimeline.size(),
-        pos - line_start - kPayloadTimeline.size()));
-    std::size_t idx = 0;
+        pos - line_start - kPayloadTimeline.size());
+    std::string_view tok[6];
+    for (std::string_view& t : tok) t = text::next_token(fields);
+    EPGS_CHECK(text::next_token(fields).empty(),
+               "isolated child payload: trailing timeline field");
+    const auto idx = text::require_number<std::size_t>(tok[0], kPayloadCtx,
+                                                       "timeline record");
     IterRecord row;
-    std::string residual_tok;
-    is >> idx >> row.iter >> row.seconds >> row.frontier >> row.edges >>
-        residual_tok;
-    EPGS_CHECK(!is.fail(), "isolated child payload: bad timeline line");
-    // istream's num_get grammar rejects "nan" (the no-residual marker);
-    // strtod accepts it alongside ordinary doubles.
-    char* tok_end = nullptr;
-    row.residual = std::strtod(residual_tok.c_str(), &tok_end);
-    EPGS_CHECK(!residual_tok.empty() &&
-                   tok_end == residual_tok.c_str() + residual_tok.size(),
-               "isolated child payload: bad timeline residual");
+    row.iter = text::require_number<std::uint64_t>(tok[1], kPayloadCtx,
+                                                   "timeline iter");
+    row.seconds =
+        text::require_number<double>(tok[2], kPayloadCtx, "timeline seconds");
+    row.frontier = text::require_number<std::uint64_t>(tok[3], kPayloadCtx,
+                                                       "timeline frontier");
+    row.edges = text::require_number<std::uint64_t>(tok[4], kPayloadCtx,
+                                                    "timeline edges");
+    // "nan" marks a row without a residual.
+    row.residual = text::require_number<double>(tok[5], kPayloadCtx,
+                                                "timeline residual");
     timeline_rows.emplace_back(idx, row);
     line_start = pos + 1;
   }
@@ -728,8 +737,11 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
     try {
       e.key = body.substr(0, p1);
       e.outcome = outcome_from_name(body.substr(p1 + 1, p2 - p1 - 1));
-      e.attempts = std::stoi(body.substr(p2 + 1, p3 - p2 - 1));
-      nrec = std::stoul(body.substr(p3 + 1));
+      e.attempts = text::require_number<int>(
+          std::string_view(body).substr(p2 + 1, p3 - p2 - 1), "journal",
+          "attempts");
+      nrec = text::require_number<std::size_t>(
+          std::string_view(body).substr(p3 + 1), "journal", "record count");
     } catch (const std::exception&) {
       break;
     }
@@ -771,9 +783,12 @@ std::vector<JournalEntry> replay_journal(const std::string& path,
           q1 == std::string::npos ? std::string::npos : tail.find('|', q1 + 1);
       if (q2 == std::string::npos) break;
       try {
-        e.attempts = std::stoi(tail.substr(0, q1));
+        e.attempts = text::require_number<int>(
+            std::string_view(tail).substr(0, q1), "journal", "attempts");
         e.last_failure = outcome_from_name(tail.substr(q1 + 1, q2 - q1 - 1));
-        e.resumed_from_iter = std::stoll(tail.substr(q2 + 1));
+        e.resumed_from_iter = text::require_number<std::int64_t>(
+            std::string_view(tail).substr(q2 + 1), "journal",
+            "resumed iteration");
       } catch (const std::exception&) {
         break;
       }

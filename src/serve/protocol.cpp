@@ -11,6 +11,8 @@
 #include <sstream>
 #include <vector>
 
+#include "core/text_scan.hpp"
+
 namespace epgs::serve {
 namespace {
 
@@ -34,25 +36,13 @@ std::optional<std::uint64_t> parse_hex(std::string_view s) {
   return v;
 }
 
+/// A numeric request field. A bad value is a request-level ProtocolError,
+/// so the connection survives it.
 template <typename T>
-T parse_num(std::string_view key, std::string_view s) {
-  T v{};
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ProtocolError("bad value for '" + std::string(key) + "': '" +
-                        std::string(s) + "'");
-  }
-  return v;
-}
-
-double parse_double_field(std::string_view key, std::string_view s) {
-  double v = 0.0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw ProtocolError("bad value for '" + std::string(key) + "': '" +
-                        std::string(s) + "'");
-  }
-  return v;
+T value_of(std::string_view key, std::string_view s) {
+  if (const std::optional<T> v = text::parse_number<T>(s)) return *v;
+  throw ProtocolError("bad value for '" + std::string(key) + "': '" +
+                      std::string(s) + "'");
 }
 
 bool parse_bool_field(std::string_view key, std::string_view s) {
@@ -153,9 +143,8 @@ Request parse_request(std::string_view payload) {
   if (payload.find('\n') != std::string_view::npos) {
     throw ProtocolError("request payload must be a single line");
   }
-  std::istringstream in{std::string(payload)};
-  std::string verb;
-  in >> verb;
+  std::string_view rest = payload;
+  const std::string verb(text::next_token(rest));
   Request req;
   if (verb == "ping") {
     req.verb = Verb::kPing;
@@ -170,13 +159,14 @@ Request parse_request(std::string_view payload) {
   }
 
   std::map<std::string, std::string> kv;
-  std::string tok;
-  while (in >> tok) {
+  for (std::string_view tok = text::next_token(rest); !tok.empty();
+       tok = text::next_token(rest)) {
     const auto eq = tok.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw ProtocolError("expected key=value, got '" + tok + "'");
+    if (eq == std::string_view::npos || eq == 0) {
+      throw ProtocolError("expected key=value, got '" + std::string(tok) +
+                          "'");
     }
-    const std::string key = tok.substr(0, eq);
+    const std::string key(tok.substr(0, eq));
     if (!kv.emplace(key, tok.substr(eq + 1)).second) {
       throw ProtocolError("duplicate key '" + key + "'");
     }
@@ -202,11 +192,11 @@ Request parse_request(std::string_view payload) {
       }
       have_algorithm = true;
     } else if (key == "roots") {
-      req.roots = parse_num<int>(key, val);
+      req.roots = value_of<int>(key, val);
     } else if (key == "threads") {
-      req.threads = parse_num<int>(key, val);
+      req.threads = value_of<int>(key, val);
     } else if (key == "deadline_ms") {
-      req.deadline_ms = parse_num<std::int64_t>(key, val);
+      req.deadline_ms = value_of<std::int64_t>(key, val);
     } else if (key == "kind") {
       using Kind = harness::GraphSpec::Kind;
       if (val == "kron") {
@@ -223,13 +213,13 @@ Request parse_request(std::string_view payload) {
     } else if (key == "graph") {
       req.graph.path = val;
     } else if (key == "scale") {
-      req.graph.scale = parse_num<int>(key, val);
+      req.graph.scale = value_of<int>(key, val);
     } else if (key == "edgefactor") {
-      req.graph.edgefactor = parse_num<int>(key, val);
+      req.graph.edgefactor = value_of<int>(key, val);
     } else if (key == "fraction") {
-      req.graph.fraction = parse_double_field(key, val);
+      req.graph.fraction = value_of<double>(key, val);
     } else if (key == "seed") {
-      req.graph.seed = parse_num<std::uint64_t>(key, val);
+      req.graph.seed = value_of<std::uint64_t>(key, val);
     } else if (key == "symmetrize") {
       req.graph.symmetrize = parse_bool_field(key, val);
     } else if (key == "dedupe") {
@@ -237,7 +227,7 @@ Request parse_request(std::string_view payload) {
     } else if (key == "weights") {
       req.graph.add_weights = parse_bool_field(key, val);
     } else if (key == "max_weight") {
-      req.graph.max_weight = parse_num<std::uint32_t>(key, val);
+      req.graph.max_weight = value_of<std::uint32_t>(key, val);
     } else {
       throw ProtocolError("unknown key '" + key + "'");
     }

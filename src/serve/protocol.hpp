@@ -24,7 +24,7 @@
 // (malformed frame or request), `overloaded` (admission control rejected
 // the request), `deadline` (deadline_ms expired), `config` (valid frame,
 // unrunnable spec), `shutdown` (server stopping), `internal`. Parsers are
-// strict in the fs_shim tradition: every field goes through from_chars
+// strict: every numeric field goes through text::parse_number
 // and an unknown key, verb, or garbage value is a typed ProtocolError,
 // never a silently defaulted field.
 #pragma once

@@ -15,6 +15,7 @@
 #include "core/checkpoint.hpp"
 #include "core/crash_report.hpp"
 #include "core/error.hpp"
+#include "core/text_scan.hpp"
 
 namespace epgs::fault {
 namespace {
@@ -213,12 +214,12 @@ void arm_kill_from_env() {
     plan.system = std::string(s.substr(0, colon));
     s = s.substr(colon + 1);
   }
-  try {
-    plan.at_iteration = std::stoull(std::string(s));
-  } catch (const std::exception&) {
+  const auto at = text::parse_number<std::uint64_t>(s);
+  if (!at) {
     throw EpgsError("malformed EPGS_KILL_AT_CKPT spec: '" +
                     std::string(spec) + "' (want \"[system:]iteration\")");
   }
+  plan.at_iteration = *at;
   arm_kill_at_checkpoint(plan);
 }
 

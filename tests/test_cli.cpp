@@ -56,11 +56,41 @@ TEST(CliArgs, ParseOptionsFlagsPositional) {
 
 TEST(CliArgs, TypedGettersValidate) {
   const auto args = Args::parse({"--scale", "abc", "--frac", "0.5"});
-  EXPECT_THROW(args.get_int("scale", 0), EpgsError);
+  EXPECT_THROW((void)args.get_int("scale", 0), EpgsError);
   EXPECT_DOUBLE_EQ(args.get_double("frac", 0.0), 0.5);
   EXPECT_EQ(args.get_int("missing", 7), 7);
   EXPECT_THROW(args.expect_known({"scale"}), EpgsError);
   EXPECT_NO_THROW(args.expect_known({"scale", "frac"}));
+}
+
+TEST(CliArgs, NumbersAreWholeTokenStrict) {
+  const auto args = Args::parse({"--mem-limit", "-1", "--seed", "7",
+                                 "--scale", "12x", "--timeout", "+2"});
+  // "-1" must not wrap to 2^64-1 MiB.
+  EXPECT_THROW((void)args.get_u64("mem-limit", 0), EpgsError);
+  EXPECT_EQ(args.get_u64("seed", 0), 7u);
+  EXPECT_THROW((void)args.get_int("scale", 0), EpgsError);
+  EXPECT_THROW((void)args.get_double("timeout", 0.0), EpgsError);
+}
+
+TEST(CliArgs, KillAtCheckpointEnvIsStrict) {
+  fault::disarm_kill_at_checkpoint();
+  for (const char* bad : {"3x", "-1", "GAP:", ""}) {
+    ::setenv("EPGS_KILL_AT_CKPT", bad, 1);
+    if (*bad == '\0') {
+      EXPECT_NO_THROW(fault::arm_kill_from_env());  // empty = unset
+    } else {
+      EXPECT_THROW(fault::arm_kill_from_env(), EpgsError) << bad;
+    }
+    EXPECT_FALSE(fault::kill_armed()) << bad;
+  }
+  ::setenv("EPGS_KILL_AT_CKPT", "GAP:3", 1);
+  fault::arm_kill_from_env();
+  EXPECT_TRUE(fault::kill_armed());
+  fault::disarm_kill_at_checkpoint();
+  ::unsetenv("EPGS_KILL_AT_CKPT");
+  fault::arm_kill_from_env();
+  EXPECT_FALSE(fault::kill_armed());
 }
 
 TEST(CliArgs, EmptyListWhenAbsent) {

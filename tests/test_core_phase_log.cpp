@@ -98,6 +98,17 @@ TEST(PhaseLog, ParseRejectsMalformedLines) {
                std::runtime_error);
   EXPECT_THROW(PhaseLog::parse_log_text("# attr without equals\n"),
                std::runtime_error);
+  // Numbers are whole-token strict: no garbage, no numeric prefix.
+  for (const char* bad :
+       {"* p: abc sec\n", "* p: 1.5x sec\n",
+        "* p: 1 sec\n@ iter=1 sec=0.5junk front=1 edges=1\n"}) {
+    try {
+      (void)PhaseLog::parse_log_text(bad);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("PhaseLog:", 0), 0u) << e.what();
+    }
+  }
 }
 
 TEST(PhaseLog, ClearResets) {

@@ -123,6 +123,15 @@ TEST_F(CrashReportDir, MissingEmptyAndGarbageFilesParseToNullopt) {
   const auto garbage = report("garbage.crash");
   std::ofstream(garbage) << "this is not a crash report\nsignal 11\n";
   EXPECT_FALSE(read_report(garbage).has_value());
+
+  // Right magic, but a numeric field that is not a number.
+  for (const char* field :
+       {"signal 11x SIGSEGV", "code abc", "errno ", "iteration 7.5"}) {
+    const auto bad_num = report("bad_num.crash");
+    std::ofstream(bad_num) << "epgs-crash-v1\nsignal 11 SIGSEGV\n"
+                           << field << "\nbacktrace:\nframe\n";
+    EXPECT_FALSE(read_report(bad_num).has_value()) << field;
+  }
 }
 
 TEST_F(CrashReportDir, ArmFailureLeavesProcessDisarmedNotBroken) {

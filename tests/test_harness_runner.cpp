@@ -219,6 +219,46 @@ TEST(RunnerCsv, MalformedFieldsRejectedWithEpgsError) {
   EXPECT_THROW(
       records_from_csv(header + "d,s,a,1,0,p,0.5,0,0,0,,exploded\n"),
       EpgsError);
+  // Whole-field strictness: no numeric prefix, no negative counter.
+  EXPECT_THROW(
+      records_from_csv(header + "d,s,a,4abc,0,p,0.5,0,0,0,,success\n"),
+      EpgsError);
+  EXPECT_THROW(
+      records_from_csv(header + "d,s,a,1,0,p,0.5xyz,0,0,0,,success\n"),
+      EpgsError);
+  EXPECT_THROW(
+      records_from_csv(header + "d,s,a,1,0,p,0.5,-1,0,0,,success\n"),
+      EpgsError);
+}
+
+TEST(RunnerCsv, EmptySecondsAndCountersReadAsZero) {
+  const auto back =
+      records_from_csv(records_to_csv({}) + "d,s,a,2,1,p,,,,,,success,,\n");
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].threads, 2);
+  EXPECT_EQ(back[0].trial, 1);
+  EXPECT_EQ(back[0].seconds, 0.0);
+  EXPECT_EQ(back[0].work.edges_processed, 0u);
+  EXPECT_EQ(back[0].work.vertex_updates, 0u);
+  EXPECT_EQ(back[0].work.bytes_touched, 0u);
+}
+
+TEST(RunnerCsv, LegacyTwelveColumnFileParses) {
+  // The pre-checkpoint format: no attempts / resumed_from columns.
+  const std::string legacy =
+      "dataset,system,algorithm,threads,trial,phase,seconds,edges,vupdates,"
+      "bytes,iterations,outcome\n"
+      "kron-s8,GAP,BFS,4,0,run algorithm,1e-05,2048,256,65536,7,success\n";
+  const auto back = records_from_csv(legacy);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].system, "GAP");
+  EXPECT_EQ(back[0].threads, 4);
+  EXPECT_EQ(back[0].seconds, 1e-05);
+  EXPECT_EQ(back[0].work.edges_processed, 2048u);
+  EXPECT_EQ(back[0].work.bytes_touched, 65536u);
+  EXPECT_EQ(back[0].extra.at("iterations"), "7");
+  EXPECT_EQ(back[0].extra.count("attempts"), 0u);
+  EXPECT_EQ(back[0].outcome, Outcome::kSuccess);
 }
 
 TEST(RunnerCsv, ForeignHeaderRejected) {
